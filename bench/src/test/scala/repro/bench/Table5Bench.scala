@@ -11,16 +11,13 @@ class Table5Bench extends SparkSpec {
   test("Table V: effectiveness of FCM vs FCM-HCMAN") {
     val e = BenchCtx.full
     BenchCtx.banner("Table V: FCM vs FCM-HCMAN (prec@%d / ndcg@%d)".format(e.cfg.k, e.cfg.k))
-    println("%-10s%-10s%-10s%-12s%-12s".format("M", "FCM p", "FCM n", "HCMAN- p", "HCMAN- n"))
     val rows = e.tableV()
-    rows.foreach { case (label, f, h) =>
-      println("%-10s%-10s%-10s%-12s%-12s"
-        .format(label, e.fmt(f.prec), e.fmt(f.ndcg), e.fmt(h.prec), e.fmt(h.ndcg)))
-    }
+    println(Report.renderMethodTable(rows))
     // shape: fine-grained matching beats pooled matching overall
-    val overall = rows.find(_._1 == "Overall").get
-    assert(overall._2.prec >= overall._3.prec,
-      s"FCM ${overall._2.prec} vs FCM-HCMAN ${overall._3.prec}")
-    assert(overall._2.ndcg >= overall._3.ndcg)
+    val overall = rows.toMap.apply("Overall")
+    val f = overall.find(_.method == "FCM").get
+    val h = overall.find(_.method == "FCM-HCMAN").get
+    assert(f.prec >= h.prec, s"FCM ${f.prec} vs FCM-HCMAN ${h.prec}")
+    assert(f.ndcg >= h.ndcg)
   }
 }

@@ -11,18 +11,15 @@ class Table6Bench extends SparkSpec {
   test("Table VI: impact of the DA-related layers") {
     val e = BenchCtx.full
     BenchCtx.banner("Table VI: FCM vs FCM-DA (prec@%d / ndcg@%d)".format(e.cfg.k, e.cfg.k))
-    println("%-12s%-10s%-10s%-12s%-12s".format("Queries", "FCM p", "FCM n", "FCM-DA p", "FCM-DA n"))
     val rows = e.tableVI()
-    rows.foreach { case (label, f, d) =>
-      println("%-12s%-10s%-10s%-12s%-12s"
-        .format(label, e.fmt(f.prec), e.fmt(f.ndcg), e.fmt(d.prec), e.fmt(d.ndcg)))
-    }
-    val byLabel = rows.map(r => r._1 -> r).toMap
+    println(Report.renderMethodTable(rows))
+    val byLabel = rows.toMap
+    def m(group: String, method: String) = byLabel(group).find(_.method == method).get
     // shape: the DA layers matter on DA queries...
-    val (_, fDa, dDa) = byLabel("With DA")
+    val (fDa, dDa) = (m("With DA", "FCM"), m("With DA", "FCM-DA"))
     assert(fDa.prec >= dDa.prec, s"with DA: FCM ${fDa.prec} vs FCM-DA ${dDa.prec}")
     // ...and cost little on plain queries
-    val (_, fNo, dNo) = byLabel("Without DA")
+    val (fNo, dNo) = (m("Without DA", "FCM"), m("Without DA", "FCM-DA"))
     assert(math.abs(fNo.prec - dNo.prec) <= 0.15,
       s"without DA: FCM ${fNo.prec} vs FCM-DA ${dNo.prec}")
   }

@@ -121,6 +121,9 @@ object BenchData {
   def mBucket(m: Int): String =
     if (m == 1) "1" else if (m <= 4) "2-4" else if (m <= 7) "5-7" else ">7"
 
+  /** Every `mBucket` label, in table order. */
+  val mBuckets: Seq[String] = Seq("1", "2-4", "5-7", ">7")
+
   private def genTable(
       rng: Random,
       id: Long,

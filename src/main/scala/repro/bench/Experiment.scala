@@ -19,9 +19,9 @@ final case class IndexRow(
 )
 
 /** The experiment harness: generates the benchmark, computes ground truth,
-  * trains the FCM heads, runs every retrieval method through the
-  * distributed `Engine` passes and assembles each paper table
-  * (DESIGN.md §5). All state is lazy and cached, so bench suites and jobs
+  * trains the FCM heads, runs every retrieval method through
+  * `Engine.rank` and assembles each paper table (DESIGN.md §5); `Report`
+  * renders them. All state is lazy and cached, so bench suites and jobs
   * can share one instance per scale.
   */
 final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
@@ -54,14 +54,18 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
 
   // ---- rankings ----------------------------------------------------------
 
-  lazy val rankFcm: Map[Int, Array[Long]]      = Engine.fcmRank(spark, tablesDs, bench.queries, fcmCfg)._1
-  lazy val rankFcmSweep: Map[Int, Array[Long]] = Engine.fcmRank(spark, tablesDs, bench.sweep, fcmCfg)._1
-  lazy val rankHcmanOff: Map[Int, Array[Long]] = Engine.fcmRank(spark, tablesDs, bench.queries, hcmanOffCfg)._1
-  lazy val rankDaOff: Map[Int, Array[Long]]    = Engine.fcmRank(spark, tablesDs, bench.queries, daOffCfg)._1
-  lazy val rankCml: Map[Int, Array[Long]]      = Engine.cmlRank(spark, tablesDs, bench.queries)._1
-  lazy val rankQetch: Map[Int, Array[Long]]    = Engine.qetchRank(spark, tablesDs, bench.queries)._1
-  lazy val rankDeLn: Map[Int, Array[Long]]     = Engine.delnRank(spark, tablesDs, bench.queries, cfg.chartW, cfg.chartH)._1
-  lazy val rankOptLn: Map[Int, Array[Long]]    = Engine.optLnRank(spark, tablesDs, bench.queries, cfg.chartW, cfg.chartH)._1
+  /** Full rankings of the main queries by `retriever`. */
+  def rankAll[Q, E](retriever: Retriever[Q, E]): Map[Int, Array[Long]] =
+    Engine.rank(spark, tablesDs, bench.queries, retriever)._1
+
+  lazy val rankFcm: Map[Int, Array[Long]]      = rankAll(Retriever.fcm(fcmCfg))
+  lazy val rankFcmSweep: Map[Int, Array[Long]] = Engine.rank(spark, tablesDs, bench.sweep, Retriever.fcm(fcmCfg))._1
+  lazy val rankHcmanOff: Map[Int, Array[Long]] = rankAll(Retriever.fcm(hcmanOffCfg))
+  lazy val rankDaOff: Map[Int, Array[Long]]    = rankAll(Retriever.fcm(daOffCfg))
+  lazy val rankCml: Map[Int, Array[Long]]      = rankAll(Retriever.cml)
+  lazy val rankQetch: Map[Int, Array[Long]]    = rankAll(Retriever.qetch)
+  lazy val rankDeLn: Map[Int, Array[Long]]     = rankAll(Retriever.deln(cfg.chartW, cfg.chartH))
+  lazy val rankOptLn: Map[Int, Array[Long]]    = rankAll(Retriever.optLn(cfg.chartW, cfg.chartH))
 
   /** (name, rankings) in the paper's column order. */
   def methodRanks: Seq[(String, Map[Int, Array[Long]])] = Seq(
@@ -84,44 +88,40 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
     (Metrics.mean(prec), Metrics.mean(ndcg))
   }
 
-  def queriesAll: Seq[QueryPack]       = bench.queries.toSeq
-  def queriesWithDa: Seq[QueryPack]    = queriesAll.filter(_.isDa)
-  def queriesWithoutDa: Seq[QueryPack] = queriesAll.filterNot(_.isDa)
+  def queriesAll: Seq[QueryPack] = bench.queries.toSeq
   def queriesByBucket: Seq[(String, Seq[QueryPack])] =
-    Seq("1", "2-4", "5-7", ">7").map(b => b -> queriesAll.filter(q => BenchData.mBucket(q.m) == b))
+    BenchData.mBuckets.map(b => b -> queriesAll.filter(q => BenchData.mBucket(q.m) == b))
+  def queriesByDa: Seq[(String, Seq[QueryPack])] =
+    Seq("Overall" -> queriesAll, "With DA" -> queriesAll.filter(_.isDa), "Without DA" -> queriesAll.filterNot(_.isDa))
 
   // ---- paper tables ------------------------------------------------------
 
   /** Table I: benchmark statistics (counts by number of lines M). */
   def tableI(): Seq[(String, Map[String, Int])] = {
-    val buckets = Seq("1", "2-4", "5-7", ">7")
+    val buckets = BenchData.mBuckets
     val qCounts = buckets.map(b => b -> queriesAll.count(q => BenchData.mBucket(q.m) == b)).toMap
     val rCounts =
       buckets.map(b => b -> bench.repo.count(t => BenchData.mBucket(t.specCols.length) == b)).toMap
     Seq("Query" -> qCounts, "Repository" -> rCounts)
   }
 
-  /** Table II: overall / with-DA / without-DA effectiveness per method. */
-  def tableII(): Seq[(String, Seq[MethodMetrics])] =
-    Seq(
-      "Overall"    -> queriesAll,
-      "With DA"    -> queriesWithDa,
-      "Without DA" -> queriesWithoutDa
-    ).map { case (label, qs) =>
-      label -> methodRanks.map { case (name, rank) =>
+  /** Effectiveness of each named ranking on each named query group. */
+  def methodTable(
+      groups: Seq[(String, Seq[QueryPack])],
+      methods: Seq[(String, Map[Int, Array[Long]])]
+  ): Seq[(String, Seq[MethodMetrics])] =
+    groups.map { case (label, qs) =>
+      label -> methods.map { case (name, rank) =>
         val (p, n) = metricsOf(rank, qs, gtMain)
         MethodMetrics(name, p, n)
       }
     }
 
+  /** Table II: overall / with-DA / without-DA effectiveness per method. */
+  def tableII(): Seq[(String, Seq[MethodMetrics])] = methodTable(queriesByDa, methodRanks)
+
   /** Table III: effectiveness per line-count bucket, per method. */
-  def tableIII(): Seq[(String, Seq[MethodMetrics])] =
-    queriesByBucket.map { case (bucket, qs) =>
-      bucket -> methodRanks.map { case (name, rank) =>
-        val (p, n) = metricsOf(rank, qs, gtMain)
-        MethodMetrics(name, p, n)
-      }
-    }
+  def tableIII(): Seq[(String, Seq[MethodMetrics])] = methodTable(queriesByBucket, methodRanks)
 
   /** Paper's window-size bucket label of Table IV. */
   def windowBucket(w: Int): String =
@@ -142,26 +142,12 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   }
 
   /** Table V: FCM vs FCM-HCMAN, overall and per bucket. */
-  def tableV(): Seq[(String, MethodMetrics, MethodMetrics)] = {
-    val groups = ("Overall" -> queriesAll) +: queriesByBucket
-    groups.map { case (label, qs) =>
-      val (pf, nf) = metricsOf(rankFcm, qs, gtMain)
-      val (ph, nh) = metricsOf(rankHcmanOff, qs, gtMain)
-      (label, MethodMetrics("FCM", pf, nf), MethodMetrics("FCM-HCMAN", ph, nh))
-    }
-  }
+  def tableV(): Seq[(String, Seq[MethodMetrics])] =
+    methodTable(("Overall" -> queriesAll) +: queriesByBucket, Seq("FCM" -> rankFcm, "FCM-HCMAN" -> rankHcmanOff))
 
   /** Table VI: FCM vs FCM-DA, overall / with DA / without DA. */
-  def tableVI(): Seq[(String, MethodMetrics, MethodMetrics)] =
-    Seq(
-      "Overall"    -> queriesAll,
-      "With DA"    -> queriesWithDa,
-      "Without DA" -> queriesWithoutDa
-    ).map { case (label, qs) =>
-      val (pf, nf) = metricsOf(rankFcm, qs, gtMain)
-      val (pd, nd) = metricsOf(rankDaOff, qs, gtMain)
-      (label, MethodMetrics("FCM", pf, nf), MethodMetrics("FCM-DA", pd, nd))
-    }
+  def tableVI(): Seq[(String, Seq[MethodMetrics])] =
+    methodTable(queriesByDa, Seq("FCM" -> rankFcm, "FCM-DA" -> rankDaOff))
 
   /** Table VII: overall prec@k over the P1 × P2 grid, head retrained per
     * config. Intended to be run on the reduced-scale experiment.
@@ -171,9 +157,8 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
       p2s: Seq[Int] = Seq(16, 32, 64, 128, 256)
   ): Map[(Int, Int), Double] = {
     (for { p1 <- p1s; p2 <- p2s } yield {
-      val c    = trainVariant(defaultCfg.copy(p1 = p1, p2 = p2))
-      val rank = Engine.fcmRank(spark, tablesDs, bench.queries, c)._1
-      val (p, _) = metricsOf(rank, queriesAll, gtMain)
+      val c = trainVariant(defaultCfg.copy(p1 = p1, p2 = p2))
+      val (p, _) = metricsOf(rankAll(Retriever.fcm(c)), queriesAll, gtMain)
       (p1, p2) -> p
     }).toMap
   }
@@ -195,7 +180,7 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   def tableVIII(): Seq[IndexRow] = {
     val charts = bench.queries.map(q => q.qid -> ChartEncoder.encode(q.extracted, defaultCfg)).toMap
     // warm the JIT + broadcast paths so the timed passes are comparable
-    Engine.fcmRank(spark, tablesDs, bench.queries.take(4), fcmCfg)
+    Engine.rank(spark, tablesDs, bench.queries.take(4), Retriever.fcm(fcmCfg))
     IndexStrategy.all.map { strat =>
       val t0 = System.nanoTime()
       val restrict: Map[Int, Set[Long]] = strat match {
@@ -204,7 +189,7 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
           bench.queries.map(q => q.qid -> index.candidates(strat, charts(q.qid))).toMap
       }
       val driverMs = (System.nanoTime() - t0) / 1000000L
-      val (rank, passMs) = Engine.fcmRank(spark, tablesDs, bench.queries, fcmCfg, restrict)
+      val (rank, passMs) = Engine.rank(spark, tablesDs, bench.queries, Retriever.fcm(fcmCfg), restrict)
       val (p, n) = metricsOf(rank, queriesAll, gtMain)
       val avgCand =
         if (restrict.isEmpty) bench.repo.length.toDouble
@@ -216,24 +201,8 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   /** Table IX: effectiveness vs the number of negatives N⁻. */
   def tableIX(ns: Seq[Int] = 1 to 8): Seq[(Int, Double, Double)] =
     ns.map { n =>
-      val c    = trainVariant(defaultCfg, nNeg = n)
-      val rank = Engine.fcmRank(spark, tablesDs, bench.queries, c)._1
-      val (p, nd) = metricsOf(rank, queriesAll, gtMain)
+      val c = trainVariant(defaultCfg, nNeg = n)
+      val (p, nd) = metricsOf(rankAll(Retriever.fcm(c)), queriesAll, gtMain)
       (n, p, nd)
     }
-
-  // ---- rendering ---------------------------------------------------------
-
-  def fmt(d: Double): String = f"$d%.3f"
-
-  def renderMethodTable(rows: Seq[(String, Seq[MethodMetrics])], metric: String): String = {
-    val names  = rows.head._2.map(_.method)
-    val header = ("%-12s".format("")) + names.map(n => "%-10s".format(n)).mkString
-    val body = rows.flatMap { case (label, ms) =>
-      val p = "%-12s".format(s"$label p") + ms.map(m => "%-10s".format(fmt(m.prec))).mkString
-      val n = "%-12s".format(s"$label n") + ms.map(m => "%-10s".format(fmt(m.ndcg))).mkString
-      Seq(p, n)
-    }
-    (header +: body).mkString("\n")
-  }
 }

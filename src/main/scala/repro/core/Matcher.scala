@@ -6,9 +6,10 @@ package repro.core
   *  - SL-SAN (segment level): soft-attention alignment between line
   *    segments and data segments with a positional prior, producing a
   *    5-dim pair feature vector per (line, column-variant);
-  *  - MoE gate (Sec. V-D): the identity expert plus one expert per
-  *    aggregation operator (each at its best HMRL scale) are blended by a
-  *    softmax over their fit;
+  *  - MoE gate (Sec. V-D): a sparse top-1 gate over the identity expert
+  *    and the DA variants (one per aggregation operator and HMRL scale);
+  *    the best variant replaces the identity expert's pair features only
+  *    if its pre-score beats the identity's by `GateMargin`;
   *  - LL-SAN (line-to-column level): attention plus exact bipartite
   *    assignment over the pair scores, producing a 6-dim chart-level
   *    feature vector;
@@ -248,13 +249,17 @@ object Matcher {
   def features(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Array[Double] =
     if (cfg.useHcman) tableFeatures(chart, tab, cfg) else hcmanOffFeatures(chart, tab, cfg)
 
-  /** The relevance estimate `Rel'(V, T)` of this FCM variant. */
-  def score(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Double = {
-    val x = features(chart, tab, cfg)
-    val w = cfg.headWeights
+  /** The head's logit `w(0) + Σ w(i+1)·x(i)` (bias first), summed in index
+    * order; training and scoring share it so trained weights reproduce.
+    */
+  def logit(w: Array[Double], x: Array[Double]): Double = {
     var z = w(0)
     var i = 0
     while (i < x.length) { z += w(i + 1) * x(i); i += 1 }
-    sigmoid(z)
+    z
   }
+
+  /** The relevance estimate `Rel'(V, T)` of this FCM variant. */
+  def score(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Double =
+    sigmoid(logit(cfg.headWeights, features(chart, tab, cfg)))
 }

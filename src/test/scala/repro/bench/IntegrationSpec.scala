@@ -84,11 +84,11 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("tableV/tableVI report both variants per group") {
-    exp.tableV().foreach { case (_, f, h) =>
-      assert(f.method == "FCM" && h.method == "FCM-HCMAN")
+    exp.tableV().foreach { case (_, ms) =>
+      assert(ms.map(_.method) == Seq("FCM", "FCM-HCMAN"))
     }
-    exp.tableVI().foreach { case (_, f, d) =>
-      assert(f.method == "FCM" && d.method == "FCM-DA")
+    exp.tableVI().foreach { case (_, ms) =>
+      assert(ms.map(_.method) == Seq("FCM", "FCM-DA"))
     }
   }
 

@@ -77,13 +77,6 @@ class EncodersSpec extends AnyFunSuite {
     assert(emb.yLo < emb.yHi)
   }
 
-  test("chart encoder preserves raw line range for the index") {
-    val s = Array.tabulate(64)(i => 100.0 + i)
-    val img = Raster.render(Array(s), 240, 120)
-    val emb = ChartEncoder.encode(Extractor.extract(img), FcmConfig())
-    assert(emb.lines(0).rawMin < 110.0 && emb.lines(0).rawMax > 150.0)
-  }
-
   test("encoding is deterministic") {
     val ex  = ExtractedChart(Array(walk(100)), 0.0, 1.0)
     val a = ChartEncoder.encode(ex, FcmConfig())
