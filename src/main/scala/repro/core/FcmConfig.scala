@@ -27,10 +27,13 @@ final case class FcmConfig(
     * the leaf size 4 up to p2, never exceeding a quarter of the column so an
     * aggregated series keeps at least 4 points. The cap at p2 is what makes
     * performance fall off once the true aggregation window exceeds P2
-    * (Table IV).
+    * (Table IV). This is the one place `useDa` gates the DA layers: with no
+    * windows a column has no variants, and the gate sees only the identity
+    * expert. FCM-HCMAN (`useHcman = false`) never reads variants, so it gets
+    * none either.
     */
   def daWindows(nRows: Int): Array[Int] = {
-    if (!useDa) return Array.empty
+    if (!useDa || !useHcman) return Array.empty
     val cap = math.min(p2, nRows / 4)
     Iterator.iterate(4)(_ * 2).takeWhile(_ <= cap).toArray
   }

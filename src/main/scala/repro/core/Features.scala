@@ -24,17 +24,22 @@ object Features {
     Array(1.0, 0.8, 0.7, 0.7, 1.0, 0.9) ++ Array.fill(ShapePts)(0.8)
   private val WSum: Double = W.sum
 
-  /** z-normalise a series (zero mean, unit variance; flat series map to 0). */
+  /** z-normalise a series (zero mean, unit variance; flat series map to 0).
+    * "Flat" is relative to the series' magnitude (`sd <= 1e-12 · max|x|`),
+    * so a constant column of any size maps to 0 rather than to its own
+    * rounding noise, and scaling the input by a power of two leaves the
+    * output bit-identical.
+    */
   def znorm(xs: Array[Double]): Array[Double] = {
     val n = xs.length
     if (n == 0) return xs
-    var s = 0.0; var i = 0
-    while (i < n) { s += xs(i); i += 1 }
+    var s = 0.0; var mag = 0.0; var i = 0
+    while (i < n) { s += xs(i); mag = math.max(mag, math.abs(xs(i))); i += 1 }
     val mean = s / n
     var v = 0.0; i = 0
     while (i < n) { val d = xs(i) - mean; v += d * d; i += 1 }
     val sd = math.sqrt(v / n)
-    if (sd < 1e-12) Array.fill(n)(0.0)
+    if (sd <= 1e-12 * mag) Array.fill(n)(0.0)
     else {
       val out = new Array[Double](n)
       i = 0

@@ -7,9 +7,9 @@ package repro.core
   *    segments and data segments with a positional prior, producing a
   *    5-dim pair feature vector per (line, column-variant);
   *  - MoE gate (Sec. V-D): a sparse top-1 gate over the identity expert
-  *    and the DA variants (one per aggregation operator and HMRL scale);
-  *    the best variant replaces the identity expert's pair features only
-  *    if its pre-score beats the identity's by `GateMargin`;
+  *    and the DA variants (one per operator expert, avg/max/min, and HMRL
+  *    scale); the best variant replaces the identity expert's pair
+  *    features only if its pre-score beats the identity's by `GateMargin`;
   *  - LL-SAN (line-to-column level): attention plus exact bipartite
   *    assignment over the pair scores, producing a 6-dim chart-level
   *    feature vector;
@@ -123,10 +123,14 @@ object Matcher {
   val GateMargin = 0.02
 
   /** Sparse (top-1) Mixture-of-Experts over the identity expert and the
-    * four per-operator transformation experts, each taken at its best HMRL
-    * scale — the sparsely-gated MoE of the paper's citation [35]. Returns
-    * the winning expert's pair features and the id of the inferred
-    * operator (0 = identity).
+    * column's DA variants — the avg/max/min transformation experts, each
+    * taken at its best HMRL scale — the sparsely-gated MoE of the paper's
+    * citation [35]. A `sum` chart is matched by the avg expert (see
+    * `DatasetEncoder.Experts`), so the inferred operator is never 2. Ties
+    * keep the earlier variant (strict `>`). A column encoded without DA
+    * has no variants and gets the identity expert. Returns the winning
+    * expert's pair features and the id of the inferred operator
+    * (0 = identity).
     */
   def daPairFeatures(
       line: LineEmb,
@@ -134,7 +138,7 @@ object Matcher {
       cfg: FcmConfig
   ): (Array[Double], Int) = {
     val identity = pairFeatures(line.segs, line.pos, col.segs, col.pos, cfg)
-    if (!cfg.useDa || col.variants.isEmpty) return (identity, 0)
+    if (col.variants.isEmpty) return (identity, 0)
 
     val idScore = preScore(identity)
     var bestOp = 0

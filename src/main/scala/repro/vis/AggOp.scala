@@ -11,11 +11,8 @@ sealed abstract class AggOp(val id: Int, val name: String) extends Serializable 
 
 object AggOp {
   case object Avg extends AggOp(1, "avg") {
-    def reduce(xs: Array[Double], from: Int, until: Int): Double = {
-      var s = 0.0; var i = from
-      while (i < until) { s += xs(i); i += 1 }
-      s / (until - from)
-    }
+    def reduce(xs: Array[Double], from: Int, until: Int): Double =
+      Sum.reduce(xs, from, until) / (until - from)
   }
   case object Sum extends AggOp(2, "sum") {
     def reduce(xs: Array[Double], from: Int, until: Int): Double = {

@@ -1,13 +1,20 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.vis.{ExtractedChart, Extractor, Raster}
+import repro.vis.{AggOp, ExtractedChart, Extractor, Raster}
 
 import scala.util.Random
 
 class EncodersSpec extends AnyFunSuite {
 
   private val rng = new Random(21)
+
+  private def check(p: Prop): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), p)
+    assert(res.passed, res.status.toString)
+  }
+
   private def walk(n: Int): Array[Double] = {
     var x = 0.0
     Array.fill(n) { x += rng.nextGaussian(); x }
@@ -32,14 +39,65 @@ class EncodersSpec extends AnyFunSuite {
     assert(emb.variants.isEmpty)
   }
 
-  test("DA variants cover 4 operators x HMRL windows") {
+  test("FCM-HCMAN encodes no DA variants (it never reads them)") {
+    val cfg = FcmConfig(useHcman = false)
+    assert(cfg.daWindows(1024).isEmpty)
+    assert(DatasetEncoder.encodeColumn(0, walk(1024), cfg).variants.isEmpty)
+  }
+
+  test("DA variants cover 3 operators x HMRL windows") {
     val cfg = FcmConfig(p2 = 64)
     val emb = DatasetEncoder.encodeColumn(0, walk(1024), cfg)
     val windows = cfg.daWindows(1024)
     assert(windows.toSeq == Seq(4, 8, 16, 32, 64))
-    assert(emb.variants.length == 4 * windows.length)
-    assert(emb.variants.map(_.op).distinct.sorted.toSeq == Seq(1, 2, 3, 4))
+    assert(emb.variants.length == 3 * windows.length)
+    // avg, max, min; sum is served by the avg expert
+    assert(emb.variants.map(_.op).distinct.sorted.toSeq == Seq(1, 3, 4))
     emb.variants.foreach(v => assert(v.segs.nonEmpty))
+  }
+
+  test("HMRL windows are always powers of two (scalacheck)") {
+    val gen = for {
+      p2    <- Gen.choose(1, 600)
+      nRows <- Gen.choose(0, 5000)
+      useDa <- Gen.oneOf(true, false)
+      hcman <- Gen.oneOf(true, false)
+    } yield (FcmConfig(p2 = p2, useDa = useDa, useHcman = hcman), nRows)
+    check(Prop.forAll(gen) { case (cfg, nRows) =>
+      cfg.daWindows(nRows).forall(w => w > 0 && (w & (w - 1)) == 0)
+    })
+  }
+
+  test("znorm of a sum window is bit-identical to the avg window (scalacheck)") {
+    val gen = for {
+      n      <- Gen.choose(16, 1024)
+      logS   <- Gen.choose(-3.0, 6.0)
+      offset <- Gen.choose(-3.0, 0.5)
+      seed   <- Gen.choose(0L, Long.MaxValue)
+    } yield {
+      val r     = new Random(seed)
+      val scale = math.pow(10.0, logS)
+      var x     = 0.0
+      Array.fill(n) { x += r.nextGaussian(); scale * (offset + x) }
+    }
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    check(Prop.forAll(gen) { xs =>
+      val windows = FcmConfig().daWindows(xs.length)
+      windows.nonEmpty && windows.forall { w =>
+        bits(Features.znorm(AggOp.aggregate(xs, AggOp.Sum, w))) ==
+          bits(Features.znorm(AggOp.aggregate(xs, AggOp.Avg, w)))
+      }
+    })
+  }
+
+  test("constant columns encode to all-zero base segments and variants") {
+    for (c <- Seq(0.0, 1e-3, 1234.567, 987654.321, 3.3e6); n <- Seq(256, 1024)) {
+      val emb = DatasetEncoder.encodeColumn(0, Array.fill(n)(c), FcmConfig())
+      assert(emb.variants.nonEmpty)
+      (emb.segs ++ emb.variants.flatMap(_.segs)).foreach { f =>
+        assert(f.forall(_ == 0.0), s"constant $c at $n rows: ${f.toSeq}")
+      }
+    }
   }
 
   test("HMRL windows never exceed p2 (the Table IV cliff)") {

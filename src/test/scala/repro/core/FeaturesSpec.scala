@@ -17,6 +17,10 @@ class FeaturesSpec extends AnyFunSuite {
 
   test("znorm maps constant series to zeros") {
     assert(Features.znorm(Array.fill(10)(42.0)).forall(_ == 0.0))
+    // all-zero input must not divide 0 by 0; large constants must not
+    // z-normalise their own rounding noise
+    for (c <- Seq(0.0, 987654.321, 3.3e6); n <- Seq(10, 1000))
+      assert(Features.znorm(Array.fill(n)(c)).forall(_ == 0.0), s"constant $c at $n points")
   }
 
   test("znorm is scale and offset invariant") {

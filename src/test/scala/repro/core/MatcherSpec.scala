@@ -78,6 +78,30 @@ class MatcherSpec extends AnyFunSuite {
     assert(Matcher.preScore(fDa) > Matcher.preScore(fId))
   }
 
+  test("the gate's choice is unchanged when columns also carry sum variants") {
+    // The encoder builds no sum experts. Re-adding them in operator id
+    // order (avg, sum, max, min) must change neither the winning features
+    // nor the op: each sum variant equals its avg twin and comes after it,
+    // so the strict `>` keeps the avg one.
+    var avgWins = 0
+    for (seed <- 0 until 6; op <- Seq(AggOp.Avg, AggOp.Sum); w <- Seq(8, 32)) {
+      val r   = new Random(seed)
+      val col = Array.tabulate(1024)(i => math.sin(i / (20.0 + 10 * seed)) * 3 + r.nextGaussian())
+      val line = chartOf(Array(AggOp.aggregate(col, op, w))).lines(0)
+      val emb  = DatasetEncoder.encodeColumn(0, col, cfg)
+      val withSum = emb.copy(variants = for {
+        o  <- AggOp.all
+        dw <- cfg.daWindows(col.length)
+      } yield DatasetEncoder.variant(col, o, dw, cfg))
+      val (f, got)  = Matcher.daPairFeatures(line, emb, cfg)
+      val (fs, exp) = Matcher.daPairFeatures(line, withSum, cfg)
+      assert(got == exp)
+      assert(f.map(java.lang.Double.doubleToRawLongBits).toSeq == fs.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      if (got == AggOp.Avg.id) avgWins += 1
+    }
+    assert(avgWins > 0) // the avg expert won somewhere, so the tie rule was exercised
+  }
+
   test("rangeOverlap: containment, disjoint and DA sum-extension") {
     val chart = ChartEmb(Array.empty, 0.0, 10.0)
     val within   = ColumnEmb(0, 4, 2.0, 8.0, 20.0, Array.empty, Array.empty, Array.empty)
